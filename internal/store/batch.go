@@ -13,22 +13,34 @@ import (
 	"github.com/fusionstore/fusion/internal/trace"
 )
 
-// This file is the coordinator side of scatter-gather batching: the query
-// stages and multi-segment Gets plan their per-node sub-requests first, ship
-// one KindBatch frame per node, and fall back per-op only for the
-// sub-requests whose batched attempt failed. On a small-chunk scan this
-// collapses one round trip per chunk into one per node per stage.
+// This file is the coordinator's one data-plane dispatch path: the query
+// stages and multi-segment Gets plan their per-node sub-requests first,
+// ship them as KindBatch frames, and fall back (fetch, retry, reconstruct)
+// only for the sub-requests whose frame or reply failed. On a small-chunk
+// scan this collapses one round trip per chunk into one per node per stage.
+// Options.DisableBatch keeps the same path and only shrinks the frames to
+// one sub-op each, which is the per-op A/B.
 
-// batchCall dispatches subs to one node as scatter-gather frames (chunked at
-// rpc.MaxBatchOps) and returns index-aligned sub-responses. A transport or
-// outer application error fails the whole call — callers treat that as "all
-// subs failed" and fall back per-op. When st is non-nil the call accounts
-// one simulated operation per frame (the whole point: one RPC overhead and
-// one round trip amortized over every sub-request in the frame).
+// frameOps is the most sub-requests one KindBatch frame carries.
+func (s *Store) frameOps() int {
+	if s.opts.DisableBatch {
+		return 1
+	}
+	return rpc.MaxBatchOps
+}
+
+// batchCall dispatches subs to one node as scatter-gather frames of at most
+// frameOps() sub-requests, sent one after another, and returns index-aligned
+// sub-responses. A transport or outer application error fails the whole
+// call — callers treat that as "all subs failed" and fall back. When st is
+// non-nil the call accounts one simulated operation per frame (the whole
+// point: one RPC overhead and one round trip amortized over every
+// sub-request in the frame).
 func (s *Store) batchCall(ctx context.Context, st *execState, sp *trace.Span, node int, subs []rpc.Request) ([]rpc.Response, error) {
 	out := make([]rpc.Response, 0, len(subs))
-	for start := 0; start < len(subs); start += rpc.MaxBatchOps {
-		end := min(start+rpc.MaxBatchOps, len(subs))
+	size := s.frameOps()
+	for start := 0; start < len(subs); start += size {
+		end := min(start+size, len(subs))
 		req := &rpc.Request{Kind: rpc.KindBatch, Subs: subs[start:end]}
 		resp, err := s.callChecked(ctx, sp, node, req)
 		if err != nil {
@@ -55,6 +67,60 @@ func (s *Store) batchCall(ctx context.Context, st *execState, sp *trace.Span, no
 	return out, nil
 }
 
+// scatter ships one query stage's planned sub-requests: subs[i] goes to
+// nodes[i]. Each node's subs are cut, in plan order, into frames of at most
+// frameOps() sub-requests, and the frames run concurrently on the query
+// worker pool, each accounting into its own forked state. accept is called
+// with that fork for every sub-request whose reply carries no error; it may
+// still reject a malformed reply by not recording it. Subs of a lost frame
+// or with an error reply are left to the caller's fallback. Forks are
+// joined in frame order (nodes by first appearance, then plan order), so
+// the stage's stats and cost sheet do not depend on worker scheduling.
+func (s *Store) scatter(st *execState, nodes []int, subs []rpc.Request, accept func(sub *execState, i int, resp *rpc.Response)) {
+	byNode := make(map[int][]int)
+	var order []int
+	for i, node := range nodes {
+		if _, ok := byNode[node]; !ok {
+			order = append(order, node)
+		}
+		byNode[node] = append(byNode[node], i)
+	}
+	type frame struct {
+		node int
+		idx  []int // indices into subs
+	}
+	var frames []frame
+	size := s.frameOps()
+	for _, node := range order {
+		idx := byNode[node]
+		for start := 0; start < len(idx); start += size {
+			frames = append(frames, frame{node: node, idx: idx[start:min(start+size, len(idx))]})
+		}
+	}
+	forks := make([]*execState, len(frames))
+	runTasks(s.queryWorkers(), len(frames), func(f int) {
+		fr := frames[f]
+		sub := st.fork()
+		forks[f] = sub
+		reqs := make([]rpc.Request, len(fr.idx))
+		for j, i := range fr.idx {
+			reqs[j] = subs[i]
+		}
+		resps, err := s.batchCall(sub.ctx, sub, sub.sp, fr.node, reqs)
+		if err != nil {
+			return // whole frame lost: every sub-request in it falls back
+		}
+		for j, i := range fr.idx {
+			if resps[j].Err == "" {
+				accept(sub, i, &resps[j])
+			}
+		}
+	})
+	for _, sub := range forks {
+		st.join(sub)
+	}
+}
+
 // chunkLocation resolves the node hosting chunk (rg, ci) under FAC layout
 // and builds its wire reference. ok is false when the chunk has no item
 // (non-FAC objects, or footer regions).
@@ -73,12 +139,16 @@ func chunkLocation(meta *ObjectMeta, rg, ci int, ch lpq.ChunkMeta) (node int, re
 	}, true
 }
 
+// pushable reports whether any of meta's chunk work may be pushed to the
+// nodes: only Fusion's pushdown execution over a FAC object, whose chunks
+// each live whole on one node.
+func (s *Store) pushable(meta *ObjectMeta) bool {
+	return s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC
+}
+
 // pushProjection applies the projection pushdown policy (the Cost Equation
-// under PushdownAdaptive, §4.3) to one chunk.
-func (s *Store) pushProjection(meta *ObjectMeta, ch lpq.ChunkMeta, sel float64) bool {
-	if s.opts.Exec != ExecPushdown || meta.Mode != LayoutFAC {
-		return false
-	}
+// under PushdownAdaptive, §4.3) to one chunk of a pushable object.
+func (s *Store) pushProjection(ch lpq.ChunkMeta, sel float64) bool {
 	switch s.opts.Pushdown {
 	case PushdownAlways:
 		return true
@@ -104,195 +174,10 @@ func exprLeaves(e sql.Expr, out []*sql.Compare) []*sql.Compare {
 	return out
 }
 
-// filterStageBatched computes every row group's selection bitmap with the
-// stage's leaf pushdowns planned globally: ONE scatter-gather frame per node
-// covering every (row group, leaf) pair that node hosts — sub-ops carry the
-// row-group id in Request.RG — instead of one frame per node per row group.
-// The planner's shortcuts are applied first and never touch the network:
-// whole row groups pruned (or accepted) by the footer-stats verdict, then
-// per-leaf chunk-stats verdicts. Leaves whose batched filter failed (node
-// down, corrupt chunk, lost frame) fall back to fetching the chunk during
-// consolidation, exactly like the per-op path.
-func (s *Store) filterStageBatched(st *execState, q *sql.Query, colIdx map[string]int) (map[int]*bitmap.Bitmap, error) {
-	meta := st.meta
-	rgs := meta.Footer.RowGroups
-	leaves := exprLeaves(q.Where, nil)
-	type rgState struct {
-		pruned bool // footer stats prove no row matches
-		full   bool // footer stats prove every row matches
-		pre    map[*sql.Compare]*bitmap.Bitmap
-	}
-	states := make([]rgState, len(rgs))
-	type leafRef struct {
-		rg  int
-		cmp *sql.Compare
-		ch  lpq.ChunkMeta
-	}
-	type nodeGroup struct {
-		node  int
-		subs  []rpc.Request
-		leafs []leafRef
-		bms   []*bitmap.Bitmap // filled by this node's dispatch task
-	}
-	groups := make(map[int]*nodeGroup)
-	var order []*nodeGroup
-	for rg := range rgs {
-		rs := &states[rg]
-		switch rgVerdict(q.Where, meta.Footer, colIdx, rg) {
-		case sql.StatsNone:
-			rs.pruned = true
-			continue
-		case sql.StatsAll:
-			rs.full = true
-			continue
-		}
-		rs.pre = make(map[*sql.Compare]*bitmap.Bitmap, len(leaves))
-		nRows := rgs[rg].NumRows
-		for _, c := range leaves {
-			ci := colIdx[c.Column]
-			ch := rgs[rg].Chunks[ci]
-			colType := meta.Footer.Columns[ci].Type
-			// Chunk-level stats shortcut (no I/O at all), same as the per-op
-			// path.
-			switch sql.CheckStats(c, colType, ch.Stats) {
-			case sql.StatsNone:
-				rs.pre[c] = bitmap.New(nRows)
-				continue
-			case sql.StatsAll:
-				rs.pre[c] = bitmap.NewFull(nRows)
-				continue
-			}
-			node, ref, ok := chunkLocation(meta, rg, ci, ch)
-			if !ok {
-				continue // no item: the fallback closure fetches locally
-			}
-			g := groups[node]
-			if g == nil {
-				g = &nodeGroup{node: node}
-				groups[node] = g
-				order = append(order, g)
-			}
-			g.subs = append(g.subs, rpc.Request{
-				Kind: rpc.KindFilter, Chunk: ref, Op: c.Op, Value: c.Value, RG: int32(rg),
-			})
-			g.leafs = append(g.leafs, leafRef{rg: rg, cmp: c, ch: ch})
-		}
-	}
-	// Ship the stage: the per-node frames go out concurrently, each task
-	// accounting into a forked state; forks are joined in node-first-
-	// appearance order so the cost sheets stay deterministic. Each task
-	// writes only its own group's bms slice — the shared pre maps are
-	// filled sequentially below.
-	forks := make([]*execState, len(order))
-	runTasks(s.queryWorkers(), len(order), func(i int) {
-		g := order[i]
-		sub := st.fork()
-		forks[i] = sub
-		if sub.ctx.Err() != nil {
-			return // cancelled: leaves fall back (and consolidation re-checks)
-		}
-		resps, err := s.batchCall(sub.ctx, sub, sub.sp, g.node, g.subs)
-		if err != nil {
-			return // whole frame lost: every leaf on this node falls back
-		}
-		g.bms = make([]*bitmap.Bitmap, len(g.leafs))
-		for j, lr := range g.leafs {
-			if resps[j].Err != "" {
-				continue
-			}
-			bm, err := bitmap.Unmarshal(resps[j].Data)
-			if err != nil || bm.Len() != rgs[lr.rg].NumRows {
-				continue
-			}
-			// The filter logically touched the chunk but only the bitmap
-			// crossed the network.
-			sub.sp.Count(trace.BytesRequested, lr.ch.Size)
-			sub.stats.FilterRPCs++
-			g.bms[j] = bm
-		}
-	})
-	for i, sub := range forks {
-		if sub != nil {
-			st.join(sub)
-		}
-		g := order[i]
-		if g.bms == nil {
-			continue
-		}
-		for j, lr := range g.leafs {
-			if g.bms[j] != nil {
-				states[lr.rg].pre[lr.cmp] = g.bms[j]
-			}
-		}
-	}
-	// Consolidate per row group on the worker pool (the fallback path
-	// fetches chunks, so this can do real I/O), forked and joined in
-	// row-group order exactly like the per-op filterStage.
-	type rgResult struct {
-		bm  *bitmap.Bitmap
-		sub *execState
-		err error
-	}
-	results := make([]rgResult, len(rgs))
-	runTasks(s.queryWorkers(), len(rgs), func(rg int) {
-		r := &results[rg]
-		rs := &states[rg]
-		if rs.pruned {
-			return
-		}
-		nRows := rgs[rg].NumRows
-		if rs.full {
-			r.bm = bitmap.NewFull(nRows)
-			return
-		}
-		// Row-group boundary is the consolidation's cancellation checkpoint.
-		if err := st.ctx.Err(); err != nil {
-			r.err = err
-			return
-		}
-		r.sub = st.fork()
-		leaf := func(c *sql.Compare) (*bitmap.Bitmap, error) {
-			if bm, ok := rs.pre[c]; ok {
-				return bm, nil
-			}
-			ci := colIdx[c.Column]
-			col, err := s.fetchChunkColumn(r.sub, rg, ci)
-			if err != nil {
-				return nil, err
-			}
-			r.sub.chargeCoordCPU(rgs[rg].Chunks[ci].RawSize)
-			return sql.EvalCompare(c, col)
-		}
-		bm, err := sql.EvalExpr(q.Where, nRows, leaf)
-		if err != nil {
-			r.err = err
-			return
-		}
-		if bm.Count() > 0 {
-			r.bm = bm // else leave nil: empty after exact filtering
-		}
-	})
-	out := make(map[int]*bitmap.Bitmap, len(rgs))
-	for rg := range results {
-		r := &results[rg]
-		if r.sub != nil {
-			st.join(r.sub)
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		if states[rg].pruned {
-			st.stats.PrunedRowGroups++
-		}
-		out[rg] = r.bm
-	}
-	return out, nil
-}
-
 // chunkTask is one unit of projection-stage work: materializing (or in-situ
 // aggregating) the selected rows of one chunk. pre carries the chunk's
-// sub-response from the scatter-gather pre-dispatch; nil means the task runs
-// (or falls back) per-op.
+// sub-response from the scatter-gather pre-dispatch; nil means the chunk
+// was not pushed (or its pushdown failed) and the task fetches it.
 type chunkTask struct {
 	rg      int
 	name    string
@@ -304,22 +189,21 @@ type chunkTask struct {
 	pre     *rpc.Response
 }
 
-// predispatchChunkTasks ships the projection stage's pushdown work as one
-// scatter-gather frame per node (concurrently across nodes) and attaches
-// each successful sub-response to its task. Tasks whose chunk is not pushed
-// down — or whose sub-request failed — are left for the per-op workers.
-// Group accounting is forked per node and joined in node-first-appearance
-// order, keeping the cost sheets deterministic.
+// predispatchChunkTasks plans the projection stage's pushdown work —
+// in-situ aggregations, and the projections the Cost Equation pushes — and
+// scatters it, attaching each successful sub-response to its task. Tasks
+// left without one fetch their chunk in the workers.
 func (s *Store) predispatchChunkTasks(st *execState, colIdx map[string]int, rgBitmaps map[int]*bitmap.Bitmap, tasks []*chunkTask) {
 	meta := st.meta
-	type nodeGroup struct {
-		node  int
-		subs  []rpc.Request
-		tasks []*chunkTask
-		chs   []lpq.ChunkMeta
+	if !s.pushable(meta) {
+		return
 	}
-	groups := make(map[int]*nodeGroup)
-	var order []*nodeGroup
+	var (
+		nodes   []int
+		subs    []rpc.Request
+		planned []*chunkTask
+		chs     []lpq.ChunkMeta
+	)
 	for _, t := range tasks {
 		ci := colIdx[t.name]
 		ch := meta.Footer.RowGroups[t.rg].Chunks[ci]
@@ -328,65 +212,40 @@ func (s *Store) predispatchChunkTasks(st *execState, colIdx map[string]int, rgBi
 		if !ok {
 			continue
 		}
-		var req rpc.Request
-		if t.agg {
-			// Aggregate-only tasks exist only when aggregate pushdown is on.
-			req = rpc.Request{Kind: rpc.KindAggregate, Chunk: ref, Bitmap: bm.Marshal()}
-		} else {
-			if !s.pushProjection(meta, ch, bm.Selectivity()) {
+		kind := rpc.KindAggregate // aggregate-only tasks exist only under aggregate pushdown
+		if !t.agg {
+			if !s.pushProjection(ch, bm.Selectivity()) {
 				continue
 			}
-			req = rpc.Request{Kind: rpc.KindProject, Chunk: ref, Bitmap: bm.Marshal()}
+			kind = rpc.KindProject
 		}
-		g := groups[node]
-		if g == nil {
-			g = &nodeGroup{node: node}
-			groups[node] = g
-			order = append(order, g)
-		}
-		g.subs = append(g.subs, req)
-		g.tasks = append(g.tasks, t)
-		g.chs = append(g.chs, ch)
+		nodes = append(nodes, node)
+		subs = append(subs, rpc.Request{Kind: kind, Chunk: ref, Bitmap: bm.Marshal()})
+		planned = append(planned, t)
+		chs = append(chs, ch)
 	}
-	forks := make([]*execState, len(order))
-	runTasks(s.queryWorkers(), len(order), func(i int) {
-		g := order[i]
-		sub := st.fork()
-		forks[i] = sub
-		resps, err := s.batchCall(sub.ctx, sub, sub.sp, g.node, g.subs)
-		if err != nil {
-			return // every task in the group falls back per-op
-		}
-		for j, t := range g.tasks {
-			if resps[j].Err != "" {
-				continue
-			}
-			t.pre = &resps[j]
-			sub.sp.Count(trace.BytesRequested, g.chs[j].Size)
-			if t.agg {
-				sub.stats.AggregateRPCs++
-			} else {
-				sub.stats.ProjectRPCs++
-			}
+	s.scatter(st, nodes, subs, func(sub *execState, i int, resp *rpc.Response) {
+		t := planned[i]
+		t.pre = resp
+		sub.sp.Count(trace.BytesRequested, chs[i].Size)
+		if t.agg {
+			sub.stats.AggregateRPCs++
+		} else {
+			sub.stats.ProjectRPCs++
 		}
 	})
-	for _, sub := range forks {
-		if sub != nil {
-			st.join(sub)
-		}
-	}
 }
 
 // blockKey identifies one data block of an object: (stripe, bin).
 type blockKey struct{ stripe, bin int }
 
 // prefetchWholeBlocks batch-fetches the whole blocks a Get needs, one
-// scatter-gather frame per node holding two or more of them. Cached blocks
-// are served directly; fetched blocks are verified against the stripe
-// checksums exactly like a direct read and admitted to the cache. A block
-// absent from the returned map (failed frame, failed sub-read, checksum
-// mismatch) is left to readSegments' per-op path, which retries and falls
-// into RS reconstruction.
+// scatter-gather frame per node holding two or more of them (frames of one
+// under DisableBatch). Cached blocks are served directly; fetched blocks
+// are verified against the stripe checksums exactly like a direct read and
+// admitted to the cache. A block absent from the returned map (failed
+// frame, failed sub-read, checksum mismatch) is left to readSegments'
+// direct read, which retries and falls into RS reconstruction.
 func (s *Store) prefetchWholeBlocks(ctx context.Context, sp *trace.Span, meta *ObjectMeta, need []blockKey) map[blockKey][]byte {
 	whole := make(map[blockKey][]byte, len(need))
 	type nodeGroup struct {

@@ -173,11 +173,13 @@ func (s *Store) readSegments(ctx context.Context, sp *trace.Span, meta *ObjectMe
 		covered[blockKey{g.stripe, g.bin}] += g.length
 	}
 	whole := make(map[blockKey][]byte)
-	if s.batchOn() && s.opts.HedgeAfter <= 0 {
+	if s.opts.HedgeAfter <= 0 {
 		// Scatter-gather: collect the distinct whole-block reads this Get
 		// needs and fetch them with one batch frame per node, instead of one
 		// round trip per block. Blocks the prefetch could not serve fall
-		// back to the per-op (retrying, reconstructing) path below.
+		// back to the direct (retrying, reconstructing) reads below. Hedged
+		// Gets skip the prefetch: each of their range reads races a
+		// reconstruction on its own timer.
 		var need []blockKey
 		seen := make(map[blockKey]bool, len(covered))
 		for _, g := range segs {
@@ -302,7 +304,7 @@ func (s *Store) fetchWholeBlock(ctx context.Context, sp *trace.Span, meta *Objec
 	}
 	// A dead context dooms the reconstruction fan-out too; surface the
 	// caller's cancellation, not a misleading too-many-failures.
-	if cerr := ctx.Err(); cerr != nil {
+	if cerr := abandoned(ctx, fail); cerr != nil {
 		return nil, fmt.Errorf("store: read abandoned (direct: %v): %w", fail, cerr)
 	}
 	block, derr := s.reconstructBlock(ctx, bsp, meta, stripe, bin)
@@ -355,7 +357,7 @@ func (s *Store) readStripeRange(ctx context.Context, sp *trace.Span, meta *Objec
 	if err == nil {
 		return data, nil
 	}
-	if cerr := ctx.Err(); cerr != nil {
+	if cerr := abandoned(ctx, err); cerr != nil {
 		return nil, fmt.Errorf("store: read abandoned (direct: %v): %w", err, cerr)
 	}
 	// Degraded read: rebuild the whole block, then slice. A checksum
@@ -370,6 +372,20 @@ func (s *Store) readStripeRange(ctx context.Context, sp *trace.Span, meta *Objec
 		return nil, fmt.Errorf("store: degraded read failed (direct: %v): %w", err, derr)
 	}
 	return sliceBlock(block, off, length)
+}
+
+// abandoned returns the caller's cancellation behind a failed direct read,
+// or nil. The call layer fails a request whose deadline has passed by the
+// clock before the context's own timer has fired, so a deadline error from
+// the read counts even while ctx.Err() is still nil.
+func abandoned(ctx context.Context, err error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // checkDirectRead validates one direct block read. Transport errors pass

@@ -7,7 +7,6 @@ import (
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/rpc"
-	"github.com/fusionstore/fusion/internal/simnet"
 	"github.com/fusionstore/fusion/internal/sql"
 	"github.com/fusionstore/fusion/internal/trace"
 )
@@ -98,7 +97,7 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 	// Plan each surviving row group: node-side partial aggregation needs the
 	// key and argument chunks co-located on one node AND the planner's
 	// partial-vs-chunk cost check to pass.
-	cfgPush := s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC
+	cfgPush := s.pushable(meta)
 	var works []*groupWork
 	for rg := range meta.Footer.RowGroups {
 		bm := rgBitmaps[rg]
@@ -123,22 +122,13 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 		works = append(works, w)
 	}
 
-	if s.batchOn() {
-		s.predispatchGroupWorks(st, works, kinds, rgBitmaps)
-	}
+	s.predispatchGroupWorks(st, works, kinds, rgBitmaps)
 	runTasks(s.queryWorkers(), len(works), func(i int) {
 		w := works[i]
 		w.sub = st.fork()
-		bm := rgBitmaps[w.rg]
 		if w.pre != nil {
 			w.partials = w.pre.Groups
 			return
-		}
-		if w.push && !s.batchOn() {
-			if partials, err := s.pushdownGroupAgg(w.sub, w, kinds, bm); err == nil {
-				w.partials = partials
-				return
-			}
 		}
 		if w.push {
 			// The pushed attempt failed — node down, or it hit the
@@ -146,7 +136,7 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 			w.sub.stats.GroupSpills++
 			w.sub.sp.Count(trace.GroupSpills, 1)
 		}
-		w.partials, w.err = s.localGroupRG(w.sub, w.rg, keyIdx, valIdx, kinds, bm)
+		w.partials, w.err = s.localGroupRG(w.sub, w.rg, keyIdx, valIdx, kinds, rgBitmaps[w.rg])
 	})
 
 	// Merge partials in row-group order — the canonical reduction.
@@ -232,29 +222,21 @@ func (s *Store) groupByStage(st *execState, q *sql.Query, colIdx map[string]int,
 	return res, nil
 }
 
-// predispatchGroupWorks ships the stage's pushed row groups as one
-// scatter-gather frame per node (concurrently across nodes) and attaches
-// each successful sub-response. Failed sub-ops and frames are left for the
-// workers' coordinator-side fallback.
+// predispatchGroupWorks scatters the stage's pushed row groups and
+// attaches each successful sub-response. Failed sub-ops and frames are left
+// for the workers' coordinator-side fallback.
 func (s *Store) predispatchGroupWorks(st *execState, works []*groupWork, kinds []sql.AggKind, rgBitmaps map[int]*bitmap.Bitmap) {
-	type nodeGroup struct {
-		node  int
-		subs  []rpc.Request
-		works []*groupWork
-	}
-	groups := make(map[int]*nodeGroup)
-	var order []*nodeGroup
+	var (
+		nodes  []int
+		subs   []rpc.Request
+		pushed []*groupWork
+	)
 	for _, w := range works {
 		if !w.push {
 			continue
 		}
-		g := groups[w.node]
-		if g == nil {
-			g = &nodeGroup{node: w.node}
-			groups[w.node] = g
-			order = append(order, g)
-		}
-		g.subs = append(g.subs, rpc.Request{
+		nodes = append(nodes, w.node)
+		subs = append(subs, rpc.Request{
 			Kind:      rpc.KindGroupAgg,
 			Bitmap:    rgBitmaps[w.rg].Marshal(),
 			KeyChunks: w.keyRefs,
@@ -262,62 +244,16 @@ func (s *Store) predispatchGroupWorks(st *execState, works []*groupWork, kinds [
 			AggKinds:  kinds,
 			MaxGroups: maxNodeGroups,
 		})
-		g.works = append(g.works, w)
+		pushed = append(pushed, w)
 	}
-	forks := make([]*execState, len(order))
-	runTasks(s.queryWorkers(), len(order), func(i int) {
-		g := order[i]
-		sub := st.fork()
-		forks[i] = sub
-		resps, err := s.batchCall(sub.ctx, sub, sub.sp, g.node, g.subs)
-		if err != nil {
-			return // whole frame lost: every row group here falls back
-		}
-		for j, w := range g.works {
-			if resps[j].Err != "" {
-				continue
-			}
-			w.pre = &resps[j]
-			sub.sp.Count(trace.BytesRequested, w.chunkBytes)
-			sub.sp.Count(trace.GroupPartials, uint64(len(resps[j].Groups)))
-			sub.stats.GroupAggRPCs++
-			sub.stats.PartialGroups += len(resps[j].Groups)
-		}
+	s.scatter(st, nodes, subs, func(sub *execState, i int, resp *rpc.Response) {
+		w := pushed[i]
+		w.pre = resp
+		sub.sp.Count(trace.BytesRequested, w.chunkBytes)
+		sub.sp.Count(trace.GroupPartials, uint64(len(resp.Groups)))
+		sub.stats.GroupAggRPCs++
+		sub.stats.PartialGroups += len(resp.Groups)
 	})
-	for _, sub := range forks {
-		if sub != nil {
-			st.join(sub)
-		}
-	}
-}
-
-// pushdownGroupAgg sends one row group's grouped aggregation to its node
-// (the per-op path, used when batching is disabled).
-func (s *Store) pushdownGroupAgg(st *execState, w *groupWork, kinds []sql.AggKind, bm *bitmap.Bitmap) ([]sql.GroupPartial, error) {
-	req := &rpc.Request{
-		Kind:      rpc.KindGroupAgg,
-		Bitmap:    bm.Marshal(),
-		KeyChunks: w.keyRefs,
-		ValChunks: w.valRefs,
-		AggKinds:  kinds,
-		MaxGroups: maxNodeGroups,
-	}
-	resp, err := s.callChecked(st.ctx, st.sp, w.node, req)
-	if err != nil {
-		return nil, err
-	}
-	st.sp.Count(trace.BytesRequested, w.chunkBytes)
-	st.sp.Count(trace.GroupPartials, uint64(len(resp.Groups)))
-	st.stats.GroupAggRPCs++
-	st.stats.PartialGroups += len(resp.Groups)
-	st.addOp(simnet.OpCost{
-		Node:      w.node,
-		ReqBytes:  req.WireSize(),
-		RespBytes: resp.WireSize(),
-		DiskBytes: resp.Cost.DiskBytes,
-		ProcBytes: resp.Cost.ProcBytes,
-	})
-	return resp.Groups, nil
 }
 
 // localGroupRG groups one row group at the coordinator: fetch the key and

@@ -79,6 +79,34 @@ func TestQueryDeadlineNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// pastDeadlineCtx is a context whose deadline has passed but whose timer
+// has not fired yet, so Err is still nil. A real deadline context is in this
+// state for as long as the runtime takes to run its timer.
+type pastDeadlineCtx struct{ context.Context }
+
+func (pastDeadlineCtx) Deadline() (time.Time, bool) {
+	return time.Now().Add(-time.Millisecond), true
+}
+
+// TestReadPastDeadlineIsClassified: a read whose calls fail because the
+// deadline has passed must surface context.DeadlineExceeded, not fall into
+// a reconstruction whose calls fail the same way and report a misleading
+// too-many-failures.
+func TestReadPastDeadlineIsClassified(t *testing.T) {
+	data, _, _ := makeObject(t, 2, 200, 44)
+	s, _ := newSimStore(t, fusionTestOptions())
+	if _, err := s.Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+	ctx := pastDeadlineCtx{context.Background()}
+	if _, err := s.GetContext(ctx, "obj", 0, 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("GetContext = %v, want context.DeadlineExceeded", err)
+	}
+	if _, err := s.QueryContext(ctx, "SELECT id FROM obj WHERE qty < 10"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("QueryContext = %v, want context.DeadlineExceeded", err)
+	}
+}
+
 // TestStoreShedsTypedErrorWhenQueueFull: with the only slot held and the
 // tenant's queue at depth, the store's public API must fail with the typed,
 // classifiable ErrOverloaded — the contract clients and the load harness

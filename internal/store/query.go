@@ -365,49 +365,136 @@ func rgVerdict(e sql.Expr, footer *lpq.Footer, colIdx map[string]int, rg int) sq
 	}
 }
 
-// filterStage computes the selection bitmap of every row group. A nil entry
-// means the row group was pruned (provably empty). Row groups are filtered
-// concurrently on a bounded worker pool; each task accounts into a forked
-// execState and the children are joined in row-group order, so the stage's
-// output and cost sheet match a serial run exactly.
+// filterStage computes the selection bitmap of every row group; a nil entry
+// means the row group was pruned or nothing in it matched. The planner's
+// shortcuts come first and never touch the network: whole row groups pruned
+// (or accepted) by the footer-stats verdict, then per-leaf chunk-stats
+// verdicts. Under pushdown over a FAC object the surviving leaves of every
+// row group are scattered as one stage — sub-ops carry the row-group id in
+// Request.RG — so a node gets one frame covering all the row groups it
+// hosts, not one per row group. Leaves that were not pushed, or whose
+// pushdown failed (node down, corrupt chunk, lost frame), are evaluated by
+// fetching the chunk during consolidation, which runs per row group on the
+// worker pool and joins in row-group order, so the output and cost sheet
+// match a serial run exactly.
 func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) (map[int]*bitmap.Bitmap, error) {
 	meta := st.meta
-	// Batched pushdown plans the whole stage at once: one scatter-gather
-	// frame per node covering every row group's surviving leaves, cutting
-	// filter round trips from O(rowGroups×nodes) to O(nodes).
-	if q.Where != nil && s.batchOn() && s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC {
-		return s.filterStageBatched(st, q, colIdx)
-	}
 	rgs := meta.Footer.RowGroups
+	push := s.pushable(meta)
+	leaves := exprLeaves(q.Where, nil)
+	type rgState struct {
+		pruned bool // footer stats prove no row matches
+		full   bool // no WHERE, or footer stats prove every row matches
+		pre    map[*sql.Compare]*bitmap.Bitmap
+	}
+	states := make([]rgState, len(rgs))
+	type leafRef struct {
+		rg  int
+		cmp *sql.Compare
+		ch  lpq.ChunkMeta
+	}
+	var (
+		nodes []int
+		subs  []rpc.Request
+		refs  []leafRef
+	)
+	for rg := range rgs {
+		rs := &states[rg]
+		if q.Where == nil {
+			rs.full = true
+			continue
+		}
+		switch rgVerdict(q.Where, meta.Footer, colIdx, rg) {
+		case sql.StatsNone:
+			rs.pruned = true
+			continue
+		case sql.StatsAll:
+			rs.full = true
+			continue
+		}
+		rs.pre = make(map[*sql.Compare]*bitmap.Bitmap, len(leaves))
+		nRows := rgs[rg].NumRows
+		for _, c := range leaves {
+			ci := colIdx[c.Column]
+			ch := rgs[rg].Chunks[ci]
+			// Chunk-level stats shortcut (no I/O at all).
+			switch sql.CheckStats(c, meta.Footer.Columns[ci].Type, ch.Stats) {
+			case sql.StatsNone:
+				rs.pre[c] = bitmap.New(nRows)
+				continue
+			case sql.StatsAll:
+				rs.pre[c] = bitmap.NewFull(nRows)
+				continue
+			}
+			if !push {
+				continue
+			}
+			node, ref, ok := chunkLocation(meta, rg, ci, ch)
+			if !ok {
+				continue // no item: consolidation fetches the chunk
+			}
+			nodes = append(nodes, node)
+			subs = append(subs, rpc.Request{
+				Kind: rpc.KindFilter, Chunk: ref, Op: c.Op, Value: c.Value, RG: int32(rg),
+			})
+			refs = append(refs, leafRef{rg: rg, cmp: c, ch: ch})
+		}
+	}
+	// Each frame task writes only its own leaves' slots; the shared pre maps
+	// are filled sequentially afterwards.
+	bms := make([]*bitmap.Bitmap, len(subs))
+	s.scatter(st, nodes, subs, func(sub *execState, i int, resp *rpc.Response) {
+		bm, err := bitmap.Unmarshal(resp.Data)
+		if err != nil || bm.Len() != rgs[refs[i].rg].NumRows {
+			return
+		}
+		// The filter logically touched the chunk but only the bitmap crossed
+		// the network — this is what pulls query read amplification below 1.
+		sub.sp.Count(trace.BytesRequested, refs[i].ch.Size)
+		sub.stats.FilterRPCs++
+		bms[i] = bm
+	})
+	for i, bm := range bms {
+		if bm != nil {
+			states[refs[i].rg].pre[refs[i].cmp] = bm
+		}
+	}
 	type rgResult struct {
-		bm     *bitmap.Bitmap
-		pruned bool
-		sub    *execState
-		err    error
+		bm  *bitmap.Bitmap
+		sub *execState
+		err error
 	}
 	results := make([]rgResult, len(rgs))
 	runTasks(s.queryWorkers(), len(rgs), func(rg int) {
 		r := &results[rg]
-		// Row-group boundary is the filter stage's cancellation checkpoint:
-		// once the caller gives up, the remaining row groups do no work.
+		rs := &states[rg]
+		if rs.pruned {
+			return
+		}
+		nRows := rgs[rg].NumRows
+		if rs.full {
+			r.bm = bitmap.NewFull(nRows)
+			return
+		}
+		// Row-group boundary is the consolidation's cancellation checkpoint.
 		if err := st.ctx.Err(); err != nil {
 			r.err = err
 			return
 		}
-		if q.Where == nil {
-			r.bm = bitmap.NewFull(rgs[rg].NumRows)
-			return
-		}
-		switch rgVerdict(q.Where, meta.Footer, colIdx, rg) {
-		case sql.StatsNone:
-			r.pruned = true
-			return
-		case sql.StatsAll:
-			r.bm = bitmap.NewFull(rgs[rg].NumRows)
-			return
-		}
 		r.sub = st.fork()
-		bm, err := s.rowGroupFilter(r.sub, q, colIdx, rg)
+		leaf := func(c *sql.Compare) (*bitmap.Bitmap, error) {
+			if bm, ok := rs.pre[c]; ok {
+				return bm, nil
+			}
+			ci := colIdx[c.Column]
+			col, err := s.fetchChunkColumn(r.sub, rg, ci)
+			if err != nil {
+				return nil, err
+			}
+			r.sub.chargeCoordCPU(rgs[rg].Chunks[ci].RawSize)
+			return sql.EvalCompare(c, col)
+		}
+		bm, err := sql.EvalExpr(q.Where, nRows, leaf)
 		if err != nil {
 			r.err = err
 			return
@@ -425,87 +512,12 @@ func (s *Store) filterStage(st *execState, q *sql.Query, colIdx map[string]int) 
 		if r.err != nil {
 			return nil, r.err
 		}
-		if r.pruned {
+		if states[rg].pruned {
 			st.stats.PrunedRowGroups++
 		}
 		out[rg] = r.bm
 	}
 	return out, nil
-}
-
-// rowGroupFilter evaluates the WHERE tree for one row group, pushing each
-// leaf comparison to the node hosting its column chunk when possible. (The
-// batched pushdown path never reaches here — filterStage plans the whole
-// stage as per-node frames in filterStageBatched instead.)
-func (s *Store) rowGroupFilter(st *execState, q *sql.Query, colIdx map[string]int, rg int) (*bitmap.Bitmap, error) {
-	meta := st.meta
-	rgMeta := meta.Footer.RowGroups[rg]
-	nRows := rgMeta.NumRows
-	leaf := func(c *sql.Compare) (*bitmap.Bitmap, error) {
-		ci := colIdx[c.Column]
-		ch := rgMeta.Chunks[ci]
-		colType := meta.Footer.Columns[ci].Type
-		// Chunk-level stats shortcut (no I/O at all).
-		switch sql.CheckStats(c, colType, ch.Stats) {
-		case sql.StatsNone:
-			return bitmap.New(nRows), nil
-		case sql.StatsAll:
-			return bitmap.NewFull(nRows), nil
-		}
-		if s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC {
-			bm, err := s.pushdownFilter(st, c, colType, rg, ci, ch)
-			if err == nil {
-				return bm, nil
-			}
-			// Pushdown failed (e.g. node down): fall through to fetching.
-		}
-		col, err := s.fetchChunkColumn(st, rg, ci)
-		if err != nil {
-			return nil, err
-		}
-		st.chargeCoordCPU(ch.RawSize)
-		return sql.EvalCompare(c, col)
-	}
-	return sql.EvalExpr(q.Where, nRows, leaf)
-}
-
-// pushdownFilter sends one comparison to the node hosting the chunk.
-func (s *Store) pushdownFilter(st *execState, c *sql.Compare, colType lpq.Type, rg, ci int, ch lpq.ChunkMeta) (*bitmap.Bitmap, error) {
-	meta := st.meta
-	itemIdx := meta.ChunkItemIndex(rg, ci)
-	if itemIdx < 0 {
-		return nil, fmt.Errorf("store: chunk (%d,%d) has no item", rg, ci)
-	}
-	loc := meta.ItemLocs[itemIdx]
-	stripe := meta.Stripes[loc.Stripe]
-	node := stripe.Nodes[loc.Bin]
-	req := &rpc.Request{
-		Kind: rpc.KindFilter,
-		Chunk: rpc.ChunkRef{
-			BlockID: stripe.BlockIDs[loc.Bin],
-			Offset:  loc.BinOffset,
-			Type:    colType,
-			Meta:    ch,
-		},
-		Op:    c.Op,
-		Value: c.Value,
-	}
-	resp, err := s.callChecked(st.ctx, st.sp, node, req)
-	if err != nil {
-		return nil, err
-	}
-	// The filter logically touched the chunk but only the bitmap crossed
-	// the network — this is what pulls query read amplification below 1.
-	st.sp.Count(trace.BytesRequested, ch.Size)
-	st.stats.FilterRPCs++
-	st.addOp(simnet.OpCost{
-		Node:      node,
-		ReqBytes:  req.WireSize(),
-		RespBytes: resp.WireSize(),
-		DiskBytes: resp.Cost.DiskBytes,
-		ProcBytes: resp.Cost.ProcBytes,
-	})
-	return bitmap.Unmarshal(resp.Data)
 }
 
 // fetchChunkColumn brings a chunk's bytes to the coordinator (reassembling
@@ -785,7 +797,7 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	// Columns whose selected values must be materialized per row group.
 	// Aggregate-only columns are excluded when aggregate pushdown applies:
 	// their chunks are reduced in-situ instead.
-	aggPush := s.opts.AggregatePushdown && s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC
+	aggPush := s.opts.AggregatePushdown && s.pushable(meta)
 	aggOnly := map[string]bool{}
 	var aggOnlyCols []string // SELECT-list order, for deterministic execution
 	needCols := append([]string(nil), plainCols...)
@@ -828,22 +840,19 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 			tasks = append(tasks, &chunkTask{rg: rg, name: name, agg: true})
 		}
 	}
-	if s.batchOn() && s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC {
-		// Ship the stage's pushdown work as one scatter-gather frame per
-		// node; workers below consume the attached sub-responses and only
-		// fall back per-op for the chunks whose batched attempt failed.
-		s.predispatchChunkTasks(st, colIdx, rgBitmaps, tasks)
-	}
+	// Ship the stage's pushdown work; workers below consume the attached
+	// sub-responses and fetch only the chunks that were not pushed or whose
+	// pushdown failed.
+	s.predispatchChunkTasks(st, colIdx, rgBitmaps, tasks)
 	runTasks(s.queryWorkers(), len(tasks), func(i int) {
 		t := tasks[i]
 		bm := rgBitmaps[t.rg]
 		ci := colIdx[t.name]
-		ch := meta.Footer.RowGroups[t.rg].Chunks[ci]
 		t.sub = st.fork()
 		if t.agg {
-			t.partial, t.err = s.aggregateChunk(t.sub, t.rg, ci, ch, bm, t.pre)
+			t.partial, t.err = s.aggregateChunk(t.sub, t.rg, ci, bm, t.pre)
 		} else {
-			t.vals, t.err = s.projectChunk(t.sub, t.rg, ci, ch, bm, bm.Selectivity(), t.pre)
+			t.vals, t.err = s.projectChunk(t.sub, t.rg, ci, bm, t.pre)
 		}
 	})
 	for _, t := range tasks {
@@ -899,36 +908,21 @@ func (s *Store) projectionStage(st *execState, q *sql.Query, colIdx map[string]i
 	return res, nil
 }
 
-// projectChunk returns the selected values of one chunk, deciding per chunk
-// whether to push the projection down or fetch the compressed chunk,
-// according to the Cost Equation (§4.3): push down iff
-// selectivity × compressibility < 1. pre, when non-nil, is the chunk's
-// sub-response from the scatter-gather pre-dispatch (already a successful
-// pushdown — only decoding remains).
-func (s *Store) projectChunk(st *execState, rg, ci int, ch lpq.ChunkMeta, bm *bitmap.Bitmap, sel float64, pre *rpc.Response) (lpq.ColumnData, error) {
-	meta := st.meta
-	pushdownPossible := s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC
-	push := s.pushProjection(meta, ch, sel)
-	if push {
-		if pre != nil {
-			vals, err := cluster.DecodePlain(pre.Data)
-			if err == nil {
-				st.stats.PushdownOn++
-				return vals, nil
-			}
-			// Malformed reply: fall through to fetching.
-		} else if !s.batchOn() {
-			vals, err := s.pushdownProject(st, rg, ci, ch, bm)
-			if err == nil {
-				st.stats.PushdownOn++
-				return vals, nil
-			}
-			// Node down or similar: fall back to fetching.
+// projectChunk returns the selected values of one chunk: decoded from pre,
+// its sub-response from the scatter-gather pre-dispatch, when the Cost
+// Equation (§4.3: push down iff selectivity × compressibility < 1) pushed
+// the projection and the node answered; otherwise by fetching the
+// compressed chunk and selecting the rows locally.
+func (s *Store) projectChunk(st *execState, rg, ci int, bm *bitmap.Bitmap, pre *rpc.Response) (lpq.ColumnData, error) {
+	if pre != nil {
+		vals, err := cluster.DecodePlain(pre.Data)
+		if err == nil {
+			st.stats.PushdownOn++
+			return vals, nil
 		}
-		// Batched pushdown whose sub-request failed lands here too: the
-		// chunk fetch below is the per-op fallback.
+		// Malformed reply: fall through to fetching.
 	}
-	if pushdownPossible {
+	if s.pushable(st.meta) {
 		st.stats.PushdownOff++
 	}
 	col, err := s.fetchChunkColumn(st, rg, ci)
@@ -941,42 +935,12 @@ func (s *Store) projectChunk(st *execState, rg, ci int, ch lpq.ChunkMeta, bm *bi
 	return cluster.SelectRows(col, bm), nil
 }
 
-// aggregateChunk reduces one chunk's selected rows to a partial aggregate,
-// in-situ on the hosting node when possible, locally otherwise. pre, when
-// non-nil, is the chunk's sub-response from the scatter-gather pre-dispatch.
-func (s *Store) aggregateChunk(st *execState, rg, ci int, ch lpq.ChunkMeta, bm *bitmap.Bitmap, pre *rpc.Response) (*sql.AggState, error) {
-	meta := st.meta
+// aggregateChunk reduces one chunk's selected rows to a partial aggregate:
+// the node's in-situ reduction when pre, the chunk's sub-response from the
+// scatter-gather pre-dispatch, carries one; locally otherwise.
+func (s *Store) aggregateChunk(st *execState, rg, ci int, bm *bitmap.Bitmap, pre *rpc.Response) (*sql.AggState, error) {
 	if pre != nil && pre.Agg != nil {
 		return pre.Agg, nil
-	}
-	if itemIdx := meta.ChunkItemIndex(rg, ci); itemIdx >= 0 && meta.Mode == LayoutFAC && !s.batchOn() {
-		loc := meta.ItemLocs[itemIdx]
-		stripe := meta.Stripes[loc.Stripe]
-		node := stripe.Nodes[loc.Bin]
-		req := &rpc.Request{
-			Kind: rpc.KindAggregate,
-			Chunk: rpc.ChunkRef{
-				BlockID: stripe.BlockIDs[loc.Bin],
-				Offset:  loc.BinOffset,
-				Type:    meta.Footer.Columns[ci].Type,
-				Meta:    ch,
-			},
-			Bitmap: bm.Marshal(),
-		}
-		resp, err := s.callChecked(st.ctx, st.sp, node, req)
-		if err == nil && resp.Agg != nil {
-			st.sp.Count(trace.BytesRequested, ch.Size)
-			st.stats.AggregateRPCs++
-			st.addOp(simnet.OpCost{
-				Node:      node,
-				ReqBytes:  req.WireSize(),
-				RespBytes: resp.WireSize() + 64, // accumulator payload
-				DiskBytes: resp.Cost.DiskBytes,
-				ProcBytes: resp.Cost.ProcBytes,
-			})
-			return resp.Agg, nil
-		}
-		// Node down or decode failure: fall through to local reduction.
 	}
 	col, err := s.fetchChunkColumn(st, rg, ci)
 	if err != nil {
@@ -988,43 +952,6 @@ func (s *Store) aggregateChunk(st *execState, rg, ci int, ch lpq.ChunkMeta, bm *
 	state := sql.NewAggState(sql.AggCount)
 	state.AddColumn(col, bm)
 	return state, nil
-}
-
-// pushdownProject sends the projection to the chunk's node with the
-// consolidated bitmap; the reply carries the selected values uncompressed.
-func (s *Store) pushdownProject(st *execState, rg, ci int, ch lpq.ChunkMeta, bm *bitmap.Bitmap) (lpq.ColumnData, error) {
-	meta := st.meta
-	itemIdx := meta.ChunkItemIndex(rg, ci)
-	if itemIdx < 0 {
-		return lpq.ColumnData{}, fmt.Errorf("store: chunk (%d,%d) has no item", rg, ci)
-	}
-	loc := meta.ItemLocs[itemIdx]
-	stripe := meta.Stripes[loc.Stripe]
-	node := stripe.Nodes[loc.Bin]
-	req := &rpc.Request{
-		Kind: rpc.KindProject,
-		Chunk: rpc.ChunkRef{
-			BlockID: stripe.BlockIDs[loc.Bin],
-			Offset:  loc.BinOffset,
-			Type:    meta.Footer.Columns[ci].Type,
-			Meta:    ch,
-		},
-		Bitmap: bm.Marshal(),
-	}
-	resp, err := s.callChecked(st.ctx, st.sp, node, req)
-	if err != nil {
-		return lpq.ColumnData{}, err
-	}
-	st.sp.Count(trace.BytesRequested, ch.Size)
-	st.stats.ProjectRPCs++
-	st.addOp(simnet.OpCost{
-		Node:      node,
-		ReqBytes:  req.WireSize(),
-		RespBytes: resp.WireSize(),
-		DiskBytes: resp.Cost.DiskBytes,
-		ProcBytes: resp.Cost.ProcBytes,
-	})
-	return cluster.DecodePlain(resp.Data)
 }
 
 // truncateResult applies a LIMIT clause: returned rows are capped after

@@ -7,7 +7,6 @@ import (
 	"github.com/fusionstore/fusion/internal/bitmap"
 	"github.com/fusionstore/fusion/internal/lpq"
 	"github.com/fusionstore/fusion/internal/rpc"
-	"github.com/fusionstore/fusion/internal/simnet"
 	"github.com/fusionstore/fusion/internal/sql"
 	"github.com/fusionstore/fusion/internal/trace"
 )
@@ -131,10 +130,7 @@ func (s *Store) topKStage(st *execState, q *sql.Query, colIdx map[string]int, rg
 		}
 		works = append(works, &topKWork{rg: rg})
 	}
-	cfgPush := s.opts.Exec == ExecPushdown && meta.Mode == LayoutFAC
-	if cfgPush && s.batchOn() {
-		s.predispatchTopKWorks(st, works, ci, k, o.Desc, rgBitmaps)
-	}
+	s.predispatchTopKWorks(st, works, ci, k, o.Desc, rgBitmaps)
 	runTasks(s.queryWorkers(), len(works), func(i int) {
 		w := works[i]
 		w.sub = st.fork()
@@ -143,12 +139,6 @@ func (s *Store) topKStage(st *execState, q *sql.Query, colIdx map[string]int, rg
 		if w.pre != nil {
 			w.rows = w.pre.TopRows
 			return
-		}
-		if cfgPush && !s.batchOn() && planTopKPush(ch, k) {
-			if rows, err := s.pushdownTopK(w.sub, w.rg, ci, ch, bm, k, o.Desc); err == nil {
-				w.rows = rows
-				return
-			}
 		}
 		// Coordinator-side fallback: fetch the order column and fold the
 		// selected rows through the same accumulator a node runs.
@@ -213,19 +203,19 @@ func (s *Store) topKStage(st *execState, q *sql.Query, colIdx map[string]int, rg
 	return res, nil
 }
 
-// predispatchTopKWorks ships the stage's pushable top-k ops as one
-// scatter-gather frame per node; failed sub-ops fall back to the workers'
-// coordinator-side path.
+// predispatchTopKWorks scatters the stage's pushable top-k ops; failed
+// sub-ops fall back to the workers' coordinator-side path.
 func (s *Store) predispatchTopKWorks(st *execState, works []*topKWork, ci, k int, desc bool, rgBitmaps map[int]*bitmap.Bitmap) {
 	meta := st.meta
-	type nodeGroup struct {
-		node  int
-		subs  []rpc.Request
-		works []*topKWork
-		chs   []lpq.ChunkMeta
+	if !s.pushable(meta) {
+		return
 	}
-	groups := make(map[int]*nodeGroup)
-	var order []*nodeGroup
+	var (
+		nodes  []int
+		subs   []rpc.Request
+		pushed []*topKWork
+		chs    []lpq.ChunkMeta
+	)
 	for _, w := range works {
 		ch := meta.Footer.RowGroups[w.rg].Chunks[ci]
 		if !planTopKPush(ch, k) {
@@ -235,13 +225,8 @@ func (s *Store) predispatchTopKWorks(st *execState, works []*topKWork, ci, k int
 		if !ok {
 			continue
 		}
-		g := groups[node]
-		if g == nil {
-			g = &nodeGroup{node: node}
-			groups[node] = g
-			order = append(order, g)
-		}
-		g.subs = append(g.subs, rpc.Request{
+		nodes = append(nodes, node)
+		subs = append(subs, rpc.Request{
 			Kind:   rpc.KindTopK,
 			Chunk:  ref,
 			Bitmap: rgBitmaps[w.rg].Marshal(),
@@ -249,64 +234,14 @@ func (s *Store) predispatchTopKWorks(st *execState, works []*topKWork, ci, k int
 			Desc:   desc,
 			RG:     int32(w.rg),
 		})
-		g.works = append(g.works, w)
-		g.chs = append(g.chs, ch)
+		pushed = append(pushed, w)
+		chs = append(chs, ch)
 	}
-	forks := make([]*execState, len(order))
-	runTasks(s.queryWorkers(), len(order), func(i int) {
-		g := order[i]
-		sub := st.fork()
-		forks[i] = sub
-		resps, err := s.batchCall(sub.ctx, sub, sub.sp, g.node, g.subs)
-		if err != nil {
-			return // whole frame lost: every row group here falls back
-		}
-		for j, w := range g.works {
-			if resps[j].Err != "" {
-				continue
-			}
-			w.pre = &resps[j]
-			sub.sp.Count(trace.BytesRequested, g.chs[j].Size)
-			sub.stats.TopKRPCs++
-		}
+	s.scatter(st, nodes, subs, func(sub *execState, i int, resp *rpc.Response) {
+		pushed[i].pre = resp
+		sub.sp.Count(trace.BytesRequested, chs[i].Size)
+		sub.stats.TopKRPCs++
 	})
-	for _, sub := range forks {
-		if sub != nil {
-			st.join(sub)
-		}
-	}
-}
-
-// pushdownTopK sends one row group's top-k to its node (the per-op path,
-// used when batching is disabled).
-func (s *Store) pushdownTopK(st *execState, rg, ci int, ch lpq.ChunkMeta, bm *bitmap.Bitmap, k int, desc bool) ([]sql.TopRow, error) {
-	meta := st.meta
-	node, ref, ok := chunkLocation(meta, rg, ci, ch)
-	if !ok {
-		return nil, fmt.Errorf("store: chunk (%d,%d) has no item", rg, ci)
-	}
-	req := &rpc.Request{
-		Kind:   rpc.KindTopK,
-		Chunk:  ref,
-		Bitmap: bm.Marshal(),
-		K:      k,
-		Desc:   desc,
-		RG:     int32(rg),
-	}
-	resp, err := s.callChecked(st.ctx, st.sp, node, req)
-	if err != nil {
-		return nil, err
-	}
-	st.sp.Count(trace.BytesRequested, ch.Size)
-	st.stats.TopKRPCs++
-	st.addOp(simnet.OpCost{
-		Node:      node,
-		ReqBytes:  req.WireSize(),
-		RespBytes: resp.WireSize(),
-		DiskBytes: resp.Cost.DiskBytes,
-		ProcBytes: resp.Cost.ProcBytes,
-	})
-	return resp.TopRows, nil
 }
 
 // litAt extracts row i of col as a literal.
